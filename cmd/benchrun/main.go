@@ -1,6 +1,6 @@
 // Command benchrun regenerates every table and figure of the paper's
-// evaluation and prints them with paper-vs-measured annotations. The
-// results also land in EXPERIMENTS.md.
+// evaluation and prints them on standard output with paper-vs-measured
+// annotations (progress goes to standard error).
 //
 // Usage:
 //

@@ -2,6 +2,7 @@ package apk
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"backdroid/internal/dex"
@@ -111,5 +112,36 @@ func TestSaveLoad(t *testing.T) {
 func TestReadBytesErrors(t *testing.T) {
 	if _, err := ReadBytes("x", []byte("not a zip")); err == nil {
 		t.Error("ReadBytes should fail on garbage")
+	}
+}
+
+// TestReadBytesRejectsInvokeWithoutMethod: a container whose dex holds an
+// invoke with its has-method byte cleared (the instruction encodes no
+// target) fails to read with an error instead of panicking later when the
+// dump is rendered.
+func TestReadBytesRejectsInvokeWithoutMethod(t *testing.T) {
+	d := dex.NewFile()
+	err := d.AddClass(&dex.Class{
+		Name:  "com.example.app.MainActivity",
+		Super: "android.app.Activity",
+		Methods: []*dex.Method{{
+			Ref:  dex.NewMethodRef("com.example.app.MainActivity", "onCreate", dex.Void),
+			Code: []dex.Instruction{{Op: dex.OpInvokeStatic}, {Op: dex.OpReturnVoid}},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := New("com.example.app", manifest.New("com.example.app"), d).Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("ReadBytes panicked: %v", r)
+		}
+	}()
+	if _, err := ReadBytes("bad.apk", data); err == nil || !strings.Contains(err.Error(), "without a method operand") {
+		t.Fatalf("ReadBytes error = %v, want an operand error", err)
 	}
 }

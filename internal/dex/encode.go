@@ -262,7 +262,27 @@ func (d *decoder) instruction() (Instruction, error) {
 		return in, err
 	}
 	in.Target = int(tgt)
-	return in, nil
+	return in, in.checkOperands()
+}
+
+// checkOperands rejects an instruction whose operands do not fit its
+// opcode — an unknown opcode, an invoke without a target method, a field
+// access without a field — so malformed input fails decoding instead of
+// reaching the renderer or the analyses half-built.
+func (in *Instruction) checkOperands() error {
+	switch {
+	case !in.Op.known():
+		return fmt.Errorf("dex: unknown opcode %d", int(in.Op))
+	case in.Op.IsInvoke() && in.Method == nil:
+		return fmt.Errorf("dex: %s without a method operand", in.Op.Mnemonic())
+	}
+	switch in.Op {
+	case OpIGet, OpIPut, OpSGet, OpSPut:
+		if in.Field == nil {
+			return fmt.Errorf("dex: %s without a field operand", in.Op.Mnemonic())
+		}
+	}
+	return nil
 }
 
 // Decode parses a binary dex file produced by Encode.

@@ -2,6 +2,7 @@ package dex
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -130,5 +131,47 @@ func TestDecodeErrors(t *testing.T) {
 	data := Encode(buildSampleFile(t))
 	if _, err := Decode(data[:len(data)/2]); err == nil {
 		t.Error("Decode(truncated) should fail")
+	}
+}
+
+// fileWith wraps one instruction in a single-method class.
+func fileWith(in Instruction) *File {
+	f := NewFile()
+	_ = f.AddClass(&Class{
+		Name:  "com.bad.C",
+		Super: "java.lang.Object",
+		Methods: []*Method{{
+			Ref:  NewMethodRef("com.bad.C", "m", Void),
+			Code: []Instruction{in, {Op: OpReturnVoid}},
+		}},
+	})
+	return f
+}
+
+func TestDecodeRejectsMismatchedOperands(t *testing.T) {
+	target := NewMethodRef("a.B", "c", Void)
+	field := NewFieldRef("a.B", "f", Int)
+	for _, tt := range []struct {
+		name string
+		in   Instruction
+		want string
+	}{
+		{"invoke without method", Instruction{Op: OpInvokeVirtual, Args: []int{0}}, "invoke-virtual without a method operand"},
+		{"invoke-static without method", Instruction{Op: OpInvokeStatic, Field: &field}, "invoke-static without a method operand"},
+		{"iget without field", Instruction{Op: OpIGet, Method: &target}, "iget without a field operand"},
+		{"iput without field", Instruction{Op: OpIPut}, "iput without a field operand"},
+		{"sget without field", Instruction{Op: OpSGet}, "sget without a field operand"},
+		{"sput without field", Instruction{Op: OpSPut}, "sput without a field operand"},
+		{"unknown opcode", Instruction{Op: Op(99)}, "unknown opcode 99"},
+		{"zero opcode", Instruction{Op: 0}, "unknown opcode 0"},
+	} {
+		_, err := Decode(Encode(fileWith(tt.in)))
+		if err == nil || !strings.Contains(err.Error(), tt.want) {
+			t.Errorf("%s: Decode error = %v, want %q", tt.name, err, tt.want)
+		}
+	}
+	ok := fileWith(Instruction{Op: OpInvokeStatic, Method: &target})
+	if _, err := Decode(Encode(ok)); err != nil {
+		t.Errorf("well-formed invoke rejected: %v", err)
 	}
 }

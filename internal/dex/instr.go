@@ -1,10 +1,6 @@
 package dex
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // Op is a bytecode opcode. The set is a Dalvik-like subset sufficient for
 // the control- and data-flow shapes the BackDroid analyses handle.
@@ -64,7 +60,7 @@ const (
 	OpThrow      // throw A
 )
 
-var opMnemonics = map[Op]string{
+var opMnemonics = [...]string{
 	OpNop:             "nop",
 	OpConst:           "const/16",
 	OpConstString:     "const-string",
@@ -110,13 +106,17 @@ var opMnemonics = map[Op]string{
 	OpThrow:           "throw",
 }
 
-// Mnemonic returns the dexdump mnemonic of the opcode.
+// Mnemonic returns the dexdump mnemonic of the opcode; an opcode outside
+// the set renders as "op(N)".
 func (o Op) Mnemonic() string {
-	if m, ok := opMnemonics[o]; ok {
-		return m
+	if o.known() {
+		return opMnemonics[o]
 	}
-	return fmt.Sprintf("op(%d)", int(o))
+	return "op(" + strconv.Itoa(int(o)) + ")"
 }
+
+// known reports whether the opcode is one of the defined opcodes.
+func (o Op) known() bool { return o > 0 && int(o) < len(opMnemonics) }
 
 // IsInvoke reports whether the opcode is one of the five invoke kinds.
 func (o Op) IsInvoke() bool {
@@ -191,65 +191,81 @@ func typeSuffix(t TypeDesc) string {
 // Format renders the instruction in dexdump style, e.g.
 // "invoke-virtual {v0}, Lcom/foo/Bar;.start:()V". The rendering is what the
 // on-the-fly bytecode search matches against, so it must be stable.
-func (in *Instruction) Format() string {
-	reg := func(r int) string { return "v" + strconv.Itoa(r) }
+func (in *Instruction) Format() string { return string(in.AppendFormat(nil)) }
+
+// AppendFormat appends the Format rendering of the instruction to dst and
+// returns the extended slice. It is the one instruction renderer: the
+// dexdump disassembler calls it once per instruction line.
+func (in *Instruction) AppendFormat(dst []byte) []byte {
+	dst = append(dst, in.Op.Mnemonic()...)
 	switch in.Op {
-	case OpNop:
-		return "nop"
+	case OpNop, OpReturnVoid:
 	case OpConst:
-		return fmt.Sprintf("const/16 %s, #int %d", reg(in.A), in.Lit)
+		dst = strconv.AppendInt(append(appendReg(append(dst, ' '), in.A), ", #int "...), in.Lit, 10)
 	case OpConstString:
-		return fmt.Sprintf("const-string %s, %q", reg(in.A), in.Str)
-	case OpConstClass:
-		return fmt.Sprintf("const-class %s, %s", reg(in.A), in.Type)
+		dst = strconv.AppendQuote(append(appendReg(append(dst, ' '), in.A), ", "...), in.Str)
+	case OpConstClass, OpNewInstance, OpCheckCast:
+		dst = append(append(appendReg(append(dst, ' '), in.A), ", "...), in.Type...)
 	case OpConstNull:
-		return fmt.Sprintf("const/4 %s, #null", reg(in.A))
+		dst = append(appendReg(append(dst, ' '), in.A), ", #null"...)
 	case OpMove:
-		return fmt.Sprintf("move %s, %s", reg(in.A), reg(in.B))
-	case OpMoveResult:
-		return fmt.Sprintf("move-result %s", reg(in.A))
-	case OpNewInstance:
-		return fmt.Sprintf("new-instance %s, %s", reg(in.A), in.Type)
-	case OpNewArray:
-		return fmt.Sprintf("new-array %s, %s, %s", reg(in.A), reg(in.B), in.Type)
+		dst = appendRegs(dst, in.A, in.B)
+	case OpMoveResult, OpReturn, OpThrow:
+		dst = appendReg(append(dst, ' '), in.A)
+	case OpNewArray, OpInstanceOf:
+		dst = append(append(appendRegs(dst, in.A, in.B), ", "...), in.Type...)
 	case OpInvokeVirtual, OpInvokeDirect, OpInvokeStatic, OpInvokeInterface, OpInvokeSuper:
-		args := make([]string, len(in.Args))
+		dst = append(dst, " {"...)
 		for i, a := range in.Args {
-			args[i] = reg(a)
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = appendReg(dst, a)
 		}
-		return fmt.Sprintf("%s {%s}, %s", in.Op.Mnemonic(), strings.Join(args, ", "), in.Method.DexSignature())
-	case OpIGet:
-		return fmt.Sprintf("iget%s %s, %s, %s", typeSuffix(in.Field.Type), reg(in.A), reg(in.B), in.Field.DexSignature())
-	case OpIPut:
-		return fmt.Sprintf("iput%s %s, %s, %s", typeSuffix(in.Field.Type), reg(in.A), reg(in.B), in.Field.DexSignature())
-	case OpSGet:
-		return fmt.Sprintf("sget%s %s, %s", typeSuffix(in.Field.Type), reg(in.A), in.Field.DexSignature())
-	case OpSPut:
-		return fmt.Sprintf("sput%s %s, %s", typeSuffix(in.Field.Type), reg(in.A), in.Field.DexSignature())
-	case OpAGet:
-		return fmt.Sprintf("aget %s, %s, %s", reg(in.A), reg(in.B), reg(in.C))
-	case OpAPut:
-		return fmt.Sprintf("aput %s, %s, %s", reg(in.A), reg(in.B), reg(in.C))
-	case OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor:
-		return fmt.Sprintf("%s %s, %s, %s", in.Op.Mnemonic(), reg(in.A), reg(in.B), reg(in.C))
+		dst = in.Method.AppendDexSignature(append(dst, "}, "...))
+	case OpIGet, OpIPut:
+		dst = appendRegs(append(dst, typeSuffix(in.Field.Type)...), in.A, in.B)
+		dst = in.Field.AppendDexSignature(append(dst, ", "...))
+	case OpSGet, OpSPut:
+		dst = appendReg(append(append(dst, typeSuffix(in.Field.Type)...), ' '), in.A)
+		dst = in.Field.AppendDexSignature(append(dst, ", "...))
+	case OpAGet, OpAPut, OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor:
+		dst = appendReg(append(appendRegs(dst, in.A, in.B), ", "...), in.C)
 	case OpAddLit:
-		return fmt.Sprintf("add-int/lit8 %s, %s, #int %d", reg(in.A), reg(in.B), in.Lit)
+		dst = strconv.AppendInt(append(appendRegs(dst, in.A, in.B), ", #int "...), in.Lit, 10)
 	case OpIfEq, OpIfNe, OpIfLt, OpIfGe, OpIfGt, OpIfLe:
-		return fmt.Sprintf("%s %s, %s, %04x", in.Op.Mnemonic(), reg(in.A), reg(in.B), in.Target)
+		dst = AppendHex4(append(appendRegs(dst, in.A, in.B), ", "...), int64(in.Target))
 	case OpIfEqz, OpIfNez:
-		return fmt.Sprintf("%s %s, %04x", in.Op.Mnemonic(), reg(in.A), in.Target)
+		dst = AppendHex4(append(appendReg(append(dst, ' '), in.A), ", "...), int64(in.Target))
 	case OpGoto:
-		return fmt.Sprintf("goto %04x", in.Target)
-	case OpReturn:
-		return fmt.Sprintf("return %s", reg(in.A))
-	case OpReturnVoid:
-		return "return-void"
-	case OpCheckCast:
-		return fmt.Sprintf("check-cast %s, %s", reg(in.A), in.Type)
-	case OpInstanceOf:
-		return fmt.Sprintf("instance-of %s, %s, %s", reg(in.A), reg(in.B), in.Type)
-	case OpThrow:
-		return fmt.Sprintf("throw %s", reg(in.A))
+		dst = AppendHex4(append(dst, ' '), int64(in.Target))
 	}
-	return in.Op.Mnemonic()
+	return dst
+}
+
+// appendReg appends the register name "vN".
+func appendReg(dst []byte, r int) []byte {
+	return strconv.AppendInt(append(dst, 'v'), int64(r), 10)
+}
+
+// appendRegs appends " vA, vB".
+func appendRegs(dst []byte, a, b int) []byte {
+	return appendReg(append(appendReg(append(dst, ' '), a), ", "...), b)
+}
+
+// AppendHex4 appends v in lower-case hex, zero-padded to four characters
+// with the sign counted in the width — the rendering of fmt's "%04x", used
+// for dump line numbers, branch targets and access flags.
+func AppendHex4(dst []byte, v int64) []byte {
+	u, width := uint64(v), 4
+	if v < 0 {
+		dst = append(dst, '-')
+		u, width = -u, 3
+	}
+	var buf [16]byte
+	digits := strconv.AppendUint(buf[:0], u, 16)
+	for n := len(digits); n < width; n++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
 }

@@ -38,7 +38,21 @@ const (
 // T converts a dotted Java class name into an object type descriptor.
 // T("java.lang.String") == "Ljava/lang/String;".
 func T(className string) TypeDesc {
-	return TypeDesc("L" + strings.ReplaceAll(className, ".", "/") + ";")
+	return TypeDesc(AppendT(make([]byte, 0, len(className)+2), className))
+}
+
+// AppendT appends the object type descriptor of a dotted Java class name,
+// T(className), to dst.
+func AppendT(dst []byte, className string) []byte {
+	dst = append(dst, 'L')
+	for i := 0; i < len(className); i++ {
+		c := className[i]
+		if c == '.' {
+			c = '/'
+		}
+		dst = append(dst, c)
+	}
+	return append(dst, ';')
 }
 
 // Array returns the array descriptor of the element type.
@@ -161,21 +175,25 @@ func NewMethodRef(class, name string, ret TypeDesc, params ...TypeDesc) MethodRe
 }
 
 // Descriptor renders the parameter/return descriptor: "(Ljava/lang/String;I)V".
-func (m MethodRef) Descriptor() string {
-	var b strings.Builder
-	b.WriteByte('(')
+func (m MethodRef) Descriptor() string { return string(m.AppendDescriptor(nil)) }
+
+// AppendDescriptor appends the Descriptor rendering to dst.
+func (m MethodRef) AppendDescriptor(dst []byte) []byte {
+	dst = append(dst, '(')
 	for _, p := range m.Params {
-		b.WriteString(string(p))
+		dst = append(dst, p...)
 	}
-	b.WriteByte(')')
-	b.WriteString(string(m.Ret))
-	return b.String()
+	return append(append(dst, ')'), m.Ret...)
 }
 
 // DexSignature renders the dexdump-format signature used by bytecode search:
 // "Lcom/foo/Bar;.start:()V".
-func (m MethodRef) DexSignature() string {
-	return string(T(m.Class)) + "." + m.Name + ":" + m.Descriptor()
+func (m MethodRef) DexSignature() string { return string(m.AppendDexSignature(nil)) }
+
+// AppendDexSignature appends the DexSignature rendering to dst.
+func (m MethodRef) AppendDexSignature(dst []byte) []byte {
+	dst = append(append(AppendT(dst, m.Class), '.'), m.Name...)
+	return m.AppendDescriptor(append(dst, ':'))
 }
 
 // SootSignature renders the Soot-format full signature used in the program
@@ -333,8 +351,12 @@ func NewFieldRef(class, name string, typ TypeDesc) FieldRef {
 
 // DexSignature renders the dexdump-format field signature:
 // "Lcom/foo/Bar;.port:I".
-func (f FieldRef) DexSignature() string {
-	return string(T(f.Class)) + "." + f.Name + ":" + string(f.Type)
+func (f FieldRef) DexSignature() string { return string(f.AppendDexSignature(nil)) }
+
+// AppendDexSignature appends the DexSignature rendering to dst.
+func (f FieldRef) AppendDexSignature(dst []byte) []byte {
+	dst = append(append(AppendT(dst, f.Class), '.'), f.Name...)
+	return append(append(dst, ':'), f.Type...)
 }
 
 // SootSignature renders the Soot-format field signature:

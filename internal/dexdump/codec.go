@@ -81,11 +81,26 @@ const CacheFileExt = ".bdx"
 
 // DumpHash returns the FNV-64a content hash of the dump text — the
 // staleness check of the persistent cache.
-func DumpHash(t *Text) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(t.full))
-	return h.Sum64()
+func DumpHash(t *Text) uint64 { return fnvString(fnvOffset64, t.full) }
+
+// FNV-64a parameters (hash/fnv's). fnvString hashes string bytes in
+// place: hash/fnv's Write takes a []byte, and converting the dump or its
+// lines to one copies them.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvString folds the bytes of s into the running FNV-64a hash h.
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
 }
+
+// fnvByte folds one byte into the running FNV-64a hash h.
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
 
 // AppFingerprint hashes the encoded dex files of an app (FNV-64a over
 // count, sizes and bytes). It is the staleness check of the bundle's dump
@@ -601,7 +616,7 @@ func decodeDump(buf []byte) (*Text, error) {
 		t.methods[i] = m
 	}
 
-	t.methodOfLine = make([]int, len(t.lines))
+	t.methodOfLine = make([]int32, len(t.lines))
 	for i := range t.methodOfLine {
 		var v uint64
 		if v, buf, err = readUvarint(buf); err != nil {
@@ -610,7 +625,7 @@ func decodeDump(buf []byte) (*Text, error) {
 		if v > uint64(len(t.methods)) {
 			return nil, fmt.Errorf("line %d attributed to method %d of %d", i, v, len(t.methods))
 		}
-		t.methodOfLine[i] = int(v) - 1
+		t.methodOfLine[i] = int32(v) - 1
 	}
 
 	spanCount, buf, err := readUvarint(buf)

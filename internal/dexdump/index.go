@@ -89,34 +89,114 @@ func BuildIndex(t *Text) *Index {
 	return idx
 }
 
+// Line-scan flags: the substring families the grep predicates test for.
+const (
+	hasInvoke       = 1 << iota // "invoke-"
+	hasInvokeDirect             // "invoke-direct"
+	hasNewInstance              // "new-instance"
+	hasConstClass               // "const-class"
+	hasConstString              // "const-string"
+	hasFieldOp                  // "iget", "iput", "sget" or "sput"
+)
+
+// scanStart marks the bytes addLine must look at: the first bytes of the
+// family substrings, the descriptor start 'L', the ", " separator, quotes
+// and backslashes. Every other byte is skipped with one table load.
+var scanStart = func() (t [256]bool) {
+	for _, c := range []byte("incsL,\"\\") {
+		t[c] = true
+	}
+	return t
+}()
+
+// addLine tokenizes one dump line in a single forward pass, indexing it
+// under every family whose grep predicate the line satisfies.
 func (x *Index) addLine(n int32, line string) {
-	// Class-descriptor occurrences anywhere on the line: every "L...;"
-	// token, wherever it starts. A descriptor contains no ';', so if one
-	// occurs at position i the first ';' at or after i closes it exactly;
-	// spurious tokens (an 'L' that is not a descriptor start) only bloat
-	// unqueried postings lists and are filtered by Match on lookup.
+	var fam uint8
+	comma := -1                 // start of the last ", "
+	q0, q1, quotes := -1, -1, 0 // first and last '"', and their count
+	esc := -1                   // first '\\' after the first '"'
+	semi := -1                  // first ';' at or after the current 'L', len(line) when none
 	for i := 0; i < len(line); i++ {
-		if line[i] != 'L' {
+		c := line[i]
+		if !scanStart[c] {
 			continue
 		}
-		j := strings.IndexByte(line[i:], ';')
-		if j < 0 {
-			break // no ';' remains, no further descriptor can close
+		rest := line[i:]
+		switch c {
+		case 'L':
+			// Class-descriptor occurrences anywhere on the line: every
+			// "L...;" token, wherever it starts. A descriptor contains no
+			// ';', so if one occurs at position i the first ';' at or
+			// after i closes it exactly; spurious tokens (an 'L' that is
+			// not a descriptor start) only bloat unqueried postings lists
+			// and are filtered by Match on lookup.
+			if semi < i {
+				semi = len(line)
+				if j := strings.IndexByte(rest, ';'); j >= 0 {
+					semi = i + j
+				}
+			}
+			if semi < len(line) {
+				x.add(x.classUse, line[i:semi+1], n)
+			}
+		case ',':
+			if len(rest) > 1 && rest[1] == ' ' {
+				comma = i
+			}
+		case '"':
+			if q0 < 0 {
+				q0 = i
+			}
+			q1 = i
+			quotes++
+		case '\\':
+			if q0 >= 0 && esc < 0 {
+				esc = i
+			}
+		default: // 'i', 'n', 'c' or 's': compare the first four bytes at once
+			if len(rest) < 4 {
+				continue
+			}
+			switch uint32(rest[0]) | uint32(rest[1])<<8 | uint32(rest[2])<<16 | uint32(rest[3])<<24 {
+			case 'i' | 'n'<<8 | 'v'<<16 | 'o'<<24:
+				if strings.HasPrefix(rest, "invoke-") {
+					fam |= hasInvoke
+					if strings.HasPrefix(rest[len("invoke-"):], "direct") {
+						fam |= hasInvokeDirect
+					}
+				}
+			case 'i' | 'g'<<8 | 'e'<<16 | 't'<<24, 'i' | 'p'<<8 | 'u'<<16 | 't'<<24,
+				's' | 'g'<<8 | 'e'<<16 | 't'<<24, 's' | 'p'<<8 | 'u'<<16 | 't'<<24:
+				fam |= hasFieldOp
+			case 'n' | 'e'<<8 | 'w'<<16 | '-'<<24:
+				if strings.HasPrefix(rest, "new-instance") {
+					fam |= hasNewInstance
+				}
+			case 'c' | 'o'<<8 | 'n'<<16 | 's'<<24:
+				if strings.HasPrefix(rest, "const-class") {
+					fam |= hasConstClass
+				} else if strings.HasPrefix(rest, "const-string") {
+					fam |= hasConstString
+				}
+			}
 		}
-		x.add(x.classUse, line[i:i+j+1], n)
+	}
+	if fam == 0 {
+		return
 	}
 
 	// Operand tokens live after the last ", " of an instruction line
 	// (registers precede them); signatures and descriptors contain no
 	// ", ", so the tail is the whole operand.
 	tail := ""
-	if k := strings.LastIndex(line, ", "); k >= 0 {
-		tail = line[k+2:]
+	if comma >= 0 {
+		tail = line[comma+2:]
 	}
 	// Double quotes appear only in const-string literals; a quoted line is
 	// a literal whose content can accidentally satisfy Contains-style
 	// predicates (see the side lists below).
-	quoted := strings.IndexByte(line, '"') >= 0
+	quoted := q0 >= 0
 
 	// The family checks below are deliberately independent, not exclusive:
 	// the linear grep predicates are substring tests, so a single line can
@@ -124,7 +204,7 @@ func (x *Index) addLine(n int32, line string) {
 	// contains a mnemonic). Indexing a line under a family it only
 	// accidentally belongs to costs a posting; missing one would cost a
 	// hit.
-	if strings.Contains(line, "invoke-") && tail != "" {
+	if fam&hasInvoke != 0 && tail != "" {
 		x.add(x.invokeBySig, tail, n)
 		// ".name:descriptor" begins at the dot after the class descriptor;
 		// the ".name:" prefix (descriptor-independent, the two-time ICC
@@ -138,7 +218,7 @@ func (x *Index) addLine(n int32, line string) {
 		}
 		// Constructor prefix "Lcls;.<init>:" — everything up to and
 		// including the colon that separates name from descriptor.
-		if strings.Contains(line, "invoke-direct") {
+		if fam&hasInvokeDirect != 0 {
 			if c := strings.IndexByte(tail, ':'); c >= 0 {
 				x.add(x.ctorByPrefix, tail[:c+1], n)
 			}
@@ -150,28 +230,23 @@ func (x *Index) addLine(n int32, line string) {
 			x.addSide(&x.oddInvokes, n)
 		}
 	}
-	if strings.Contains(line, "new-instance") && tail != "" {
+	if fam&hasNewInstance != 0 && tail != "" {
 		x.add(x.newInstance, tail, n)
 	}
-	if strings.Contains(line, "const-class") && tail != "" {
+	if fam&hasConstClass != 0 && tail != "" {
 		x.add(x.constClass, tail, n)
 	}
-	if strings.Contains(line, "const-string") {
-		i := strings.IndexByte(line, '"')
-		j := strings.LastIndexByte(line, '"')
-		if i >= 0 && j > i {
-			val := line[i+1 : j]
-			x.add(x.constString, val, n)
-			// Literals rendered with escapes can satisfy quoted-substring
-			// queries that differ from the whole extracted value; keep
-			// them on a side list every const-string lookup also visits.
-			if strings.ContainsAny(val, `\"`) {
-				x.addSide(&x.oddStrings, n)
-			}
+	if fam&hasConstString != 0 && q1 > q0 {
+		x.add(x.constString, line[q0+1:q1], n)
+		// Literals rendered with escapes can satisfy quoted-substring
+		// queries that differ from the whole extracted value; keep them
+		// on a side list every const-string lookup also visits. The value
+		// holds a quote when the line has more than its two delimiters.
+		if quotes > 2 || (esc >= 0 && esc < q1) {
+			x.addSide(&x.oddStrings, n)
 		}
 	}
-	if strings.Contains(line, "iget") || strings.Contains(line, "iput") ||
-		strings.Contains(line, "sget") || strings.Contains(line, "sput") {
+	if fam&hasFieldOp != 0 {
 		if tail != "" {
 			x.add(x.fieldBySig, tail, n)
 		}
@@ -184,7 +259,7 @@ func (x *Index) addLine(n int32, line string) {
 		}
 	}
 	// Same literal vector for the constructor search's Contains predicate.
-	if quoted && strings.Contains(line, "invoke-direct") {
+	if quoted && fam&hasInvokeDirect != 0 {
 		x.addSide(&x.oddCtors, n)
 	}
 }

@@ -37,14 +37,11 @@ type Manifest struct {
 // contains). Identical class bodies therefore fingerprint identically
 // across versions, positions and apps.
 func SpanFingerprint(t *Text, sp ClassSpan) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(sp.Name))
-	h.Write([]byte{0})
+	h := fnvByte(fnvString(fnvOffset64, sp.Name), 0)
 	for i := sp.Start + 1; i < sp.End; i++ {
-		h.Write([]byte(t.lines[i]))
-		h.Write([]byte{'\n'})
+		h = fnvByte(fnvString(h, t.lines[i]), '\n')
 	}
-	return h.Sum64()
+	return h
 }
 
 // BuildManifest computes the manifest of a dump under a shard plan. A nil

@@ -1,0 +1,5 @@
+//go:build !race
+
+package dexdump
+
+const raceEnabled = false

@@ -2,7 +2,7 @@
 // evaluation (Table I, Figs. 1, 7, 8, 9, the Sec. VI-B headline numbers,
 // the Sec. VI-C detection comparison, and the Sec. IV-F engineering
 // statistics). Each experiment returns a structured result plus a rendered
-// table; EXPERIMENTS.md records paper-vs-measured values.
+// table annotated with the paper's values next to the measured ones.
 package experiments
 
 import (

@@ -1673,10 +1673,17 @@ func (s *Scheduler) analyze(st *jobState, node, attempt int) (*JobResult, *chunk
 					name:       res.Name,
 				}
 				s.mu.Lock()
-				if st.chunk == nil {
-					s.chunkJobs++
+				// A late attempt (a fenced node still working, or a
+				// re-dispatch) can get here after another attempt settled
+				// the job: finish has already dropped its chunk count, and
+				// counting it again would keep every worker waiting for a
+				// settle that never comes, so Close would hang.
+				if !st.settled {
+					if st.chunk == nil {
+						s.chunkJobs++
+					}
+					st.chunk = cs
 				}
-				st.chunk = cs
 				s.mu.Unlock()
 				stRef, csRef := st, cs
 				o.SinkProgress = func(next, total int) bool {

@@ -7,7 +7,8 @@
 //
 // Absolute times on a synthetic substrate are meaningless; ratios and
 // distribution shapes (speedup factors, timeout rates, histogram buckets)
-// are calibration-independent, which is what EXPERIMENTS.md compares.
+// are calibration-independent, which is what the paper-vs-measured
+// annotations of cmd/benchrun compare.
 package simtime
 
 import (
